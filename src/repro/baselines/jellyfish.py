@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from .. import store as artifact_store
 from ..core.config import SKCConfig
 from ..core.skc.patches import dataset_training_examples, extract_knowledge_patches
@@ -104,7 +105,10 @@ def upstream_sft(
     for dataset in datasets:
         examples.extend(dataset_training_examples(dataset))
     trainer = Trainer(model, train_config, train_base=True)
-    trainer.fit(examples)
+    with obs.span(
+        "upstream_sft", datasets=len(datasets), examples=len(examples)
+    ):
+        trainer.fit(examples)
     if store_key is not None:
         store.put("upstream_sft", store_key, _weight_payload(model))
     return model

@@ -10,7 +10,7 @@ membership checks get their banks from :data:`BANKS`.
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Sequence, Tuple
 
 from ..data import vocab
 from ..data.schema import MISSING_MARKERS
@@ -120,15 +120,23 @@ def describe(name: str) -> str:
     return VALIDATORS[name][1]
 
 
+#: Each bank's flattened word set, built on first use by bank_contains.
+_BANK_WORDS: Dict[str, FrozenSet[str]] = {}
+
+
 def bank_contains(bank_name: str, value: str) -> bool:
     """True when every word of ``value`` appears in the named bank.
 
     Multi-word banks (e.g. ``beer_styles``) are flattened to a word set;
     this keeps the check robust to composed names ("hoppy trail ipa").
+    The set is built once per bank (profiling calls this per cell).
     """
-    if bank_name not in BANKS:
-        raise KeyError(f"unknown bank {bank_name!r}")
-    words = set()
-    for entry in BANKS[bank_name]:
-        words.update(entry.split())
+    words = _BANK_WORDS.get(bank_name)
+    if words is None:
+        if bank_name not in BANKS:
+            raise KeyError(f"unknown bank {bank_name!r}")
+        words = frozenset(
+            word for entry in BANKS[bank_name] for word in entry.split()
+        )
+        _BANK_WORDS[bank_name] = words
     return all(word in words for word in value.strip().lower().split())

@@ -58,6 +58,7 @@ __all__ = [
     "ModelConfig",
     "EncodedExample",
     "RaggedBatch",
+    "StagedExamples",
     "FrozenActivations",
     "FrozenBatch",
     "ScoringLM",
@@ -194,6 +195,95 @@ class _Cache:
     probs: np.ndarray  # (M,) flat softmax over each pool
 
 
+class StagedExamples:
+    """An encoded dataset staged once: one prompt and one candidate matrix.
+
+    ``X`` holds every prompt row.  The pools' flat candidate slots run
+    back to back — pool ``i`` owns slots
+    ``flat_offsets[i]:flat_offsets[i+1]`` — and slot ``j`` reads row
+    ``cand_rows[j]`` of ``Y`` (row ``j`` itself when ``cand_rows`` is
+    ``None``), so a candidate string shared by many pools is stored
+    once.  :meth:`ragged` gathers a mini-batch's :class:`RaggedBatch`
+    with fancy indexing instead of re-stacking per-example views each
+    step; the gathered arrays have the shapes, values and C layout a
+    ``np.stack``/``np.concatenate`` of those views would have, so the
+    GEMM inputs are byte-identical.
+    """
+
+    def __init__(
+        self,
+        X: np.ndarray,
+        Y: np.ndarray,
+        pool_sizes: np.ndarray,
+        targets: np.ndarray,
+        weights: np.ndarray,
+        cand_rows: Optional[np.ndarray] = None,
+    ):
+        self.X = X
+        self.Y = Y
+        self.pool_sizes = pool_sizes
+        self.targets = targets
+        self.weights = weights
+        self.cand_rows = cand_rows
+        self.flat_offsets = np.zeros(pool_sizes.size + 1, dtype=np.intp)
+        np.cumsum(pool_sizes, out=self.flat_offsets[1:])
+
+    @property
+    def n(self) -> int:
+        return self.pool_sizes.size
+
+    def _candidates(self, flat) -> np.ndarray:
+        """Candidate rows of the flat slots ``flat`` (a slice or indices)."""
+        if self.cand_rows is None:
+            return self.Y[flat]
+        return self.Y[self.cand_rows[flat]]
+
+    def examples(self) -> List[EncodedExample]:
+        """One :class:`EncodedExample` per staged example.
+
+        Prompts are views into ``X``; candidate matrices are views into
+        ``Y`` too unless rows are shared (``cand_rows``), when each pool
+        is gathered into its own array.
+        """
+        offsets = self.flat_offsets
+        return [
+            EncodedExample(
+                prompt=self.X[i],
+                candidates=self._candidates(slice(offsets[i], offsets[i + 1])),
+                target=self.targets[i].item(),
+                weight=self.weights[i].item(),
+            )
+            for i in range(self.n)
+        ]
+
+    def _gather(
+        self, indices: Sequence[int]
+    ) -> Tuple[RaggedBatch, np.ndarray, np.ndarray]:
+        """The batch of ``indices`` plus its row and flat-slot indices."""
+        idx = np.asarray(indices, dtype=np.intp)
+        sizes = self.pool_sizes[idx]
+        offsets = np.zeros(idx.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        m = int(offsets[-1])
+        rows = np.repeat(np.arange(idx.size), sizes)
+        local = np.arange(m) - np.repeat(offsets[:-1], sizes)
+        flat = np.repeat(self.flat_offsets[idx], sizes) + local
+        rb = RaggedBatch(
+            X=self.X[idx],
+            Yu=self._candidates(flat),
+            cand_index=np.arange(m, dtype=np.intp),
+            offsets=offsets,
+            rows=rows,
+            targets=self.targets[idx],
+            weights=self.weights[idx],
+        )
+        return rb, idx, flat
+
+    def ragged(self, indices: Sequence[int]) -> RaggedBatch:
+        """The mini-batch of ``indices`` as a :class:`RaggedBatch`."""
+        return self._gather(indices)[0]
+
+
 @dataclass
 class FrozenBatch:
     """One mini-batch view over a :class:`FrozenActivations` sidecar.
@@ -210,7 +300,7 @@ class FrozenBatch:
     overlap: np.ndarray  # (M,) prompt·candidate feature overlap
 
 
-class FrozenActivations:
+class FrozenActivations(StagedExamples):
     """Frozen-backbone projections of an encoded dataset, computed once.
 
     When ``train_base=False`` the base weights never move during a fit, so
@@ -229,21 +319,10 @@ class FrozenActivations:
             raise ValueError("empty dataset")
         self._model = model
         with PERF.timer("model.frozen_activations"):
-            (
-                self.X,
-                self.Y,
-                self.pool_sizes,
-                self.targets,
-                self.weights,
-                self.XW1b,
-                self.YV,
-                self.yb,
-                self.overlap,
-            ) = self._project(examples)
-            self.flat_offsets = np.zeros(
-                self.pool_sizes.size + 1, dtype=np.intp
+            X, Y, sizes, targets, weights, self.XW1b, self.YV, self.yb, self.overlap = (
+                self._project(examples)
             )
-            np.cumsum(self.pool_sizes, out=self.flat_offsets[1:])
+            super().__init__(X, Y, sizes, targets, weights)
         PERF.count("train.frozen_builds")
         obs.counter("train.frozen_builds")
 
@@ -299,29 +378,9 @@ class FrozenActivations:
         PERF.count("train.frozen_rows_appended", len(examples))
         obs.counter("train.frozen_appends", rows=len(examples))
 
-    @property
-    def n(self) -> int:
-        return self.pool_sizes.size
-
     def batch(self, indices: Sequence[int]) -> FrozenBatch:
         """Assemble the mini-batch view for a list of example indices."""
-        idx = np.asarray(indices, dtype=np.intp)
-        sizes = self.pool_sizes[idx]
-        offsets = np.zeros(idx.size + 1, dtype=np.intp)
-        np.cumsum(sizes, out=offsets[1:])
-        m = int(offsets[-1])
-        rows = np.repeat(np.arange(idx.size), sizes)
-        local = np.arange(m) - np.repeat(offsets[:-1], sizes)
-        flat = np.repeat(self.flat_offsets[idx], sizes) + local
-        rb = RaggedBatch(
-            X=self.X[idx],
-            Yu=self.Y[flat],
-            cand_index=np.arange(m, dtype=np.intp),
-            offsets=offsets,
-            rows=rows,
-            targets=self.targets[idx],
-            weights=self.weights[idx],
-        )
+        rb, idx, flat = self._gather(indices)
         return FrozenBatch(
             rb=rb,
             XW1b=self.XW1b[idx],
@@ -833,11 +892,8 @@ class ScoringLM:
             obs.histogram("model.batch_size", rb.n)
         return logits, cache
 
-    def _forward(
-        self, batch: Sequence[EncodedExample]
-    ) -> Tuple[np.ndarray, _Cache]:
+    def _forward(self, rb: RaggedBatch) -> Tuple[np.ndarray, _Cache]:
         """Per-example weighted CE losses plus the backward cache."""
-        rb = self._ragged_from_encoded(batch)
         logits, cache = self._score_flat(rb)
         log_z = segment_logsumexp(logits, rb.offsets)
         losses = (log_z - logits[rb.target_flat]) * rb.weights
@@ -1158,14 +1214,21 @@ class ScoringLM:
         """
         if not batch:
             raise ValueError("empty batch")
+        return self.ragged_loss_and_gradients(
+            self._ragged_from_encoded(batch), train_base
+        )
+
+    def ragged_loss_and_gradients(
+        self, rb: RaggedBatch, train_base: bool = True
+    ) -> Tuple[float, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """:meth:`loss_and_gradients` over an already assembled batch."""
         # Adapter arrays may have been updated in place since the last
         # step; re-materialise once here, then the backward's second
         # effective_weight("encoder.W2") read below is a memo hit instead
         # of a second dense build.
         self.bump_adapter_version()
         with PERF.timer("model.backward"):
-            losses, cache = self._forward(batch)
-            rb = cache.batch
+            losses, cache = self._forward(rb)
             n = rb.n
             W2 = self.effective_weight("encoder.W2")
             starts = rb.offsets[:-1]

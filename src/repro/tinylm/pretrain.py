@@ -20,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .. import obs
 from ..data import vocab
 from .linalg import rng_for
 from .model import ScoringLM
@@ -312,4 +313,5 @@ def pretrain(
         ),
         train_base=True,
     )
-    trainer.fit(corpus)
+    with obs.span("pretrain", tier=model.config.name, examples=len(corpus)):
+        trainer.fit(corpus)

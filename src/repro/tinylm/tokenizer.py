@@ -94,6 +94,10 @@ def _stable_hash(data: str) -> int:
 #: arrays are marked read-only because they are shared via the cache.
 SparseRow = Tuple[np.ndarray, np.ndarray]
 
+#: One token's memoised features: its ``w:`` bucket index and signed
+#: value, then the bucket indices and signs of its ``c:`` trigrams.
+TokenFeatures = Tuple[int, float, Tuple[int, ...], Tuple[float, ...]]
+
 
 class HashedFeaturizer:
     """Map text to a dense, L2-normalised feature vector of size ``dim``.
@@ -134,10 +138,16 @@ class HashedFeaturizer:
     #: stays correct — misses simply re-hash).
     BUCKET_CACHE_CAP = 1_000_000
 
+    #: Token→feature memo entries stop being added past this many.
+    TOKEN_MEMO_CAP = 200_000
+
     #: Process-wide caches, keyed by configuration.  Content-addressed
     #: and never invalidated: hashing is a pure function of the key.
     _BUCKET_CACHES: Dict[Tuple, Dict[str, Tuple[int, float]]] = {}
     _SPARSE_CACHES: Dict[Tuple, "OrderedDict[str, SparseRow]"] = {}
+    #: Per-token ``(word index, word value, trigram indices, trigram
+    #: signs)``, keyed by ``(salt, dim, use_char_ngrams)``.
+    _TOKEN_MEMOS: Dict[Tuple, Dict[str, TokenFeatures]] = {}
 
     def __init__(
         self,
@@ -154,36 +164,20 @@ class HashedFeaturizer:
         self.use_char_ngrams = use_char_ngrams
         self.salt = salt
         self.cache_size = resolve_cache_size(self.SPARSE_CACHE_SIZE, cache_size)
-        # Buckets depend only on (salt, dim); sparse rows additionally on
-        # the n-gram flags and the eviction bound.
-        self._cache = self._BUCKET_CACHES.setdefault((salt, dim), {})
-        # Keyed by the *resolved* size (matching __setstate__): two
-        # featurizers share rows only when their eviction bound agrees,
-        # so an env-bounded instance never inherits an unbounded cache.
-        self._sparse_cache = self._SPARSE_CACHES.setdefault(
-            (salt, dim, use_bigrams, use_char_ngrams, self.cache_size),
-            OrderedDict(),
+        self._connect_shared_caches()
+
+    def _connect_shared_caches(self) -> None:
+        """Alias this configuration's entries of the process-wide caches."""
+        # Buckets depend only on (salt, dim); token features additionally
+        # on the trigram flag; sparse rows on both n-gram flags and the
+        # eviction bound.
+        self._cache = self._BUCKET_CACHES.setdefault((self.salt, self.dim), {})
+        self._token_memo = self._TOKEN_MEMOS.setdefault(
+            (self.salt, self.dim, self.use_char_ngrams), {}
         )
-
-    def __getstate__(self):
-        """Pickle the configuration only, never the shared caches.
-
-        The instance attributes ``_cache`` / ``_sparse_cache`` alias the
-        process-wide content-addressed caches; shipping those to worker
-        processes would be pure dead weight (and they re-derive from
-        text anyway).  Unpickling reconnects to the *receiving*
-        process's shared caches for the same configuration.
-        """
-        state = self.__dict__.copy()
-        state.pop("_cache", None)
-        state.pop("_sparse_cache", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._cache = self._BUCKET_CACHES.setdefault(
-            (self.salt, self.dim), {}
-        )
+        # Keyed by the *resolved* size: two featurizers share rows only
+        # when their eviction bound agrees, so an env-bounded instance
+        # never inherits an unbounded cache.
         self._sparse_cache = self._SPARSE_CACHES.setdefault(
             (
                 self.salt,
@@ -195,10 +189,30 @@ class HashedFeaturizer:
             OrderedDict(),
         )
 
+    def __getstate__(self):
+        """Pickle the configuration only, never the shared caches.
+
+        The instance attributes ``_cache`` / ``_token_memo`` /
+        ``_sparse_cache`` alias the process-wide content-addressed
+        caches; shipping those to worker processes would be pure dead
+        weight (and they re-derive from text anyway).  Unpickling
+        reconnects to the *receiving* process's shared caches for the
+        same configuration.
+        """
+        state = self.__dict__.copy()
+        for name in ("_cache", "_token_memo", "_sparse_cache"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._connect_shared_caches()
+
     @classmethod
     def clear_shared_caches(cls) -> None:
         """Drop all process-wide featurization caches (tests/benchmarks)."""
         cls._BUCKET_CACHES.clear()
+        cls._TOKEN_MEMOS.clear()
         cls._SPARSE_CACHES.clear()
 
     def seed_sparse_cache(self, rows: Iterable[Tuple[str, SparseRow]]) -> None:
@@ -235,19 +249,27 @@ class HashedFeaturizer:
             self._cache[feature] = (index, sign)
         return index, sign
 
-    def _features(self, tokens: List[str]) -> Iterable[str]:
-        for tok in tokens:
-            yield "w:" + tok
-        if self.use_bigrams:
-            for left, right in zip(tokens, tokens[1:]):
-                yield "b:" + left + "_" + right
-        if self.use_char_ngrams:
-            for tok in tokens:
-                if tok.startswith("["):
-                    continue  # markers are atomic
-                padded = "^" + tok + "$"
-                for i in range(len(padded) - 2):
-                    yield "c:" + padded[i : i + 3]
+    def _token_features(self, tok: str) -> TokenFeatures:
+        """A token's word and trigram features, memoised per token."""
+        hit = self._token_memo.get(tok)
+        if hit is not None:
+            return hit
+        index, sign = self._bucket("w:" + tok)
+        tri_indices: List[int] = []
+        tri_signs: List[float] = []
+        if tok.startswith("["):
+            # Markers are atomic (no trigrams) and carry elevated mass.
+            sign = sign * self.MARKER_WEIGHT
+        elif self.use_char_ngrams:
+            padded = "^" + tok + "$"
+            for i in range(len(padded) - 2):
+                tri_index, tri_sign = self._bucket("c:" + padded[i : i + 3])
+                tri_indices.append(tri_index)
+                tri_signs.append(tri_sign)
+        features = (index, sign, tuple(tri_indices), tuple(tri_signs))
+        if len(self._token_memo) < self.TOKEN_MEMO_CAP:
+            self._token_memo[tok] = features
+        return features
 
     # ------------------------------------------------------------------
     # Sparse path (the substrate the dense APIs are built on)
@@ -270,16 +292,20 @@ class HashedFeaturizer:
         PERF.count("featurizer.sparse_misses")
         obs.counter("featurizer.sparse_miss")
         tokens = tokenize(text)
-        bucket = self._bucket
-        marker_weight = self.MARKER_WEIGHT
-        raw_indices: List[int] = []
-        raw_values: List[float] = []
-        for feature in self._features(tokens):
-            index, sign = bucket(feature)
-            raw_indices.append(index)
-            raw_values.append(
-                sign * marker_weight if feature.startswith("w:[") else sign
-            )
+        per_token = [self._token_features(tok) for tok in tokens]
+        # Feature order: every word, then every bigram, then each
+        # token's trigrams — bincount sums in this order below.
+        raw_indices: List[int] = [f[0] for f in per_token]
+        raw_values: List[float] = [f[1] for f in per_token]
+        if self.use_bigrams:
+            bucket = self._bucket
+            for left, right in zip(tokens, tokens[1:]):
+                index, sign = bucket("b:" + left + "_" + right)
+                raw_indices.append(index)
+                raw_values.append(sign)
+        for __, __, tri_indices, tri_signs in per_token:
+            raw_indices.extend(tri_indices)
+            raw_values.extend(tri_signs)
         if raw_indices:
             # Accumulate duplicate buckets with a vectorized bincount;
             # per-bucket addition order matches encounter order, so the

@@ -12,6 +12,8 @@ gradient clipping, and selective parameter groups:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +21,13 @@ import numpy as np
 
 from .. import obs
 from .linalg import exact_weights, rng_for
-from .model import EncodedExample, FrozenActivations, ScoringLM
+from .model import (
+    EncodedExample,
+    FrozenActivations,
+    RaggedBatch,
+    ScoringLM,
+    StagedExamples,
+)
 
 __all__ = ["TrainConfig", "TrainingExample", "Trainer", "StreamState"]
 
@@ -62,6 +70,28 @@ class _AdamSlot:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # Weight-decayed gradient, kept whole because the clip norm spans
+    # the entire array; allocated on first use when weight_decay > 0.
+    decayed: Optional[np.ndarray] = None
+
+
+#: Elements per Adam block: the block's param, grad, m, v and two
+#: scratch slices (6 x 128 KiB of float64) stay cache-resident while
+#: the update's ufuncs stream over them.
+ADAM_BLOCK = 16384
+
+
+@functools.lru_cache(maxsize=256)
+def _row_blocks(shape: Tuple[int, ...]) -> Tuple[slice, ...]:
+    """Axis-0 slices of about :data:`ADAM_BLOCK` elements each.
+
+    Slicing along axis 0 (never ``reshape(-1)``, which silently copies a
+    non-contiguous array) keeps every block a view, so in-place updates
+    land in the caller's array whatever its strides.
+    """
+    row = math.prod(shape[1:])
+    step = max(1, ADAM_BLOCK // max(row, 1))
+    return tuple(slice(start, start + step) for start in range(0, shape[0], step))
 
 
 @dataclass
@@ -124,6 +154,9 @@ class Trainer:
         self.train_base = train_base
         self.rank_space = rank_space
         self._slots: Dict[str, _AdamSlot] = {}
+        # Block-sized Adam scratch shared by every slot (see _scratch_pair).
+        self._scratch: Optional[np.ndarray] = None
+        self._scratch_views: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
         # The adapter whose moments the "adapter/" slots belong to.
         # Parameter keys carry only the adapter's *name*, so two patches
         # named alike would otherwise silently share stale Adam state
@@ -145,50 +178,115 @@ class Trainer:
         )
 
     # ------------------------------------------------------------------
-    def _encode(self, examples: Sequence[TrainingExample]) -> List[EncodedExample]:
+    def _stage(self, examples: Sequence[TrainingExample]) -> StagedExamples:
         """Featurize the whole dataset with the batched encoders.
 
         All prompts go through one :meth:`ScoringLM.encode_prompts` call
-        and all candidates through one flat ``encode_candidates`` call;
-        :meth:`fit` then reuses the encoded views across every epoch, so
-        a fine-tune hashes each training string at most once.
+        and the distinct candidate strings through one
+        ``encode_candidates`` call; :meth:`fit` then reuses the staged
+        matrices across every epoch, so a fine-tune hashes each training
+        string at most once and stores each candidate row once.
         """
-        prompts = self.model.encode_prompts([ex.prompt for ex in examples])
-        flat = self.model.encode_candidates(
-            [c for ex in examples for c in ex.candidates]
+        row_of: Dict[str, int] = {}
+        cand_rows = [
+            row_of.setdefault(c, len(row_of))
+            for ex in examples
+            for c in ex.candidates
+        ]
+        return StagedExamples(
+            X=self.model.encode_prompts([ex.prompt for ex in examples]),
+            Y=self.model.encode_candidates(list(row_of)),
+            pool_sizes=np.asarray(
+                [len(ex.candidates) for ex in examples], dtype=np.intp
+            ),
+            targets=np.asarray([ex.target for ex in examples], dtype=np.intp),
+            weights=np.asarray([ex.weight for ex in examples]),
+            cand_rows=np.asarray(cand_rows, dtype=np.intp),
         )
-        encoded = []
-        start = 0
-        for i, ex in enumerate(examples):
-            stop = start + len(ex.candidates)
-            encoded.append(
-                EncodedExample(
-                    prompt=prompts[i],
-                    candidates=flat[start:stop],
-                    target=ex.target,
-                    weight=ex.weight,
-                )
-            )
-            start = stop
-        return encoded
+
+    def _encode(self, examples: Sequence[TrainingExample]) -> List[EncodedExample]:
+        """The dataset featurized by :meth:`_stage`, one example each."""
+        return self._stage(examples).examples()
+
+    def _scratch_pair(
+        self, shape: Tuple[int, ...], dtype: np.dtype
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Two reusable scratch arrays of ``shape`` (views of one buffer)."""
+        views = self._scratch_views.get((shape, dtype))
+        if views is not None:
+            return views
+        size = math.prod(shape)
+        buf = self._scratch
+        if buf is None or buf.dtype != dtype or buf.shape[1] < size:
+            buf = np.empty((2, max(size, ADAM_BLOCK)), dtype=dtype)
+            self._scratch = buf
+            self._scratch_views = {}
+        views = (buf[0, :size].reshape(shape), buf[1, :size].reshape(shape))
+        self._scratch_views[(shape, dtype)] = views
+        return views
 
     def _adam_update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+        """One Adam step on ``param`` in place, block by block along axis 0.
+
+        Every element goes through exactly the ufuncs, operands and
+        order of the textbook whole-array expressions, so the result is
+        bit-identical to them (IEEE ``+ - * / sqrt`` round each result
+        once): ``g = g + wd*param``; ``g = g * (clip/‖g‖)``;
+        ``m = b1*m + (1-b1)*g``; ``v = b2*v + ((1-b2)*g)*g``;
+        ``param -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``.  Only ``m``/``v``,
+        the parameter and two block-sized scratch arrays are written —
+        no full-size temporaries (the weight-decayed gradient, which the
+        whole-array clip norm needs, lives in a buffer kept on the slot).
+        """
         cfg = self.config
         slot = self._slots.get(key)
         if slot is None or slot.m.shape != param.shape:
             slot = _AdamSlot(m=np.zeros_like(param), v=np.zeros_like(param))
             self._slots[key] = slot
+        m, v = slot.m, slot.v
+        if param.ndim == 0:
+            # 0-d arrays cannot be sliced; a new-axis view still aliases.
+            param, grad, m, v = (a[np.newaxis] for a in (param, grad, m, v))
+        blocks = _row_blocks(param.shape)
         if cfg.weight_decay:
-            grad = grad + cfg.weight_decay * param
+            if slot.decayed is None or slot.decayed.shape != param.shape:
+                slot.decayed = np.empty_like(param)
+            decayed = slot.decayed
+            for rows in blocks:
+                out = decayed[rows]
+                np.multiply(cfg.weight_decay, param[rows], out=out)
+                np.add(grad[rows], out, out=out)
+            grad = decayed
         norm = np.linalg.norm(grad)
+        scale = None
         if cfg.grad_clip and norm > cfg.grad_clip:
-            grad = grad * (cfg.grad_clip / norm)
+            scale = cfg.grad_clip / norm
         slot.step += 1
-        slot.m = cfg.beta1 * slot.m + (1 - cfg.beta1) * grad
-        slot.v = cfg.beta2 * slot.v + (1 - cfg.beta2) * grad * grad
-        m_hat = slot.m / (1 - cfg.beta1**slot.step)
-        v_hat = slot.v / (1 - cfg.beta2**slot.step)
-        param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+        c1 = 1 - b1**slot.step
+        c2 = 1 - b2**slot.step
+        if len(blocks) == 1:
+            parts = ((param, grad, m, v),)
+        else:
+            parts = ((param[r], grad[r], m[r], v[r]) for r in blocks)
+        for p, g, mb, vb in parts:
+            s1, s2 = self._scratch_pair(p.shape, p.dtype)
+            if scale is not None:
+                g = np.multiply(g, scale, out=s2)
+            np.multiply(b1, mb, out=mb)
+            np.multiply(1 - b1, g, out=s1)
+            np.add(mb, s1, out=mb)
+            np.multiply(b2, vb, out=vb)
+            np.multiply(1 - b2, g, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(vb, s1, out=vb)
+            np.divide(mb, c1, out=s1)
+            np.multiply(lr, s1, out=s1)
+            np.divide(vb, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s1, s2, out=s1)
+            np.subtract(p, s1, out=p)
 
     def _apply_adapter_grads(
         self, adapter_grads: Dict[str, np.ndarray]
@@ -207,9 +305,22 @@ class Trainer:
 
     def step(self, batch: Sequence[EncodedExample]) -> float:
         """One optimisation step over an encoded mini-batch."""
-        loss, base_grads, adapter_grads = self.model.loss_and_gradients(
-            batch, train_base=self.train_base
+        return self._apply_gradients(
+            *self.model.loss_and_gradients(batch, train_base=self.train_base)
         )
+
+    def _dense_step(self, rb: RaggedBatch) -> float:
+        """One optimisation step over a staged mini-batch."""
+        return self._apply_gradients(
+            *self.model.ragged_loss_and_gradients(rb, train_base=self.train_base)
+        )
+
+    def _apply_gradients(
+        self,
+        loss: float,
+        base_grads: Dict[str, np.ndarray],
+        adapter_grads: Dict[str, np.ndarray],
+    ) -> float:
         for name, grad in base_grads.items():
             self._adam_update("base/" + name, self.model.weights[name], grad)
         self._apply_adapter_grads(adapter_grads)
@@ -252,13 +363,15 @@ class Trainer:
             epochs=self.config.epochs,
             rank_space=use_rank,
         ):
-            encoded = self._encode(examples)
+            staged = self._stage(examples)
             rng = rng_for(self.config.seed, "trainer")
             frozen = (
-                self.model.frozen_activations(encoded) if use_rank else None
+                self.model.frozen_activations(staged.examples())
+                if use_rank
+                else None
             )
             report = TrainReport(rank_space=use_rank)
-            order = np.arange(len(encoded))
+            order = np.arange(staged.n)
             for __epoch in range(self.config.epochs):
                 if self.config.shuffle:
                     rng.shuffle(order)
@@ -269,7 +382,7 @@ class Trainer:
                     if frozen is not None:
                         loss = self._rank_step(frozen, idx)
                     else:
-                        loss = self.step([encoded[i] for i in idx])
+                        loss = self._dense_step(staged.ragged(idx))
                     report.step_losses.append(loss)
                     obs.histogram("trainer.step_loss", loss)
                     epoch_loss += loss

@@ -34,10 +34,26 @@ ATOL = 1e-10
 # ----------------------------------------------------------------------
 # Reference implementations (the pre-change per-example code paths)
 # ----------------------------------------------------------------------
+def reference_features(featurizer: HashedFeaturizer, tokens):
+    """The original feature-string stream: words, bigrams, trigrams."""
+    for tok in tokens:
+        yield "w:" + tok
+    if featurizer.use_bigrams:
+        for left, right in zip(tokens, tokens[1:]):
+            yield "b:" + left + "_" + right
+    if featurizer.use_char_ngrams:
+        for tok in tokens:
+            if tok.startswith("["):
+                continue  # markers are atomic
+            padded = "^" + tok + "$"
+            for i in range(len(padded) - 2):
+                yield "c:" + padded[i : i + 3]
+
+
 def reference_encode(featurizer: HashedFeaturizer, text: str) -> np.ndarray:
     """The original dense scalar-scatter featurizer loop."""
     vec = np.zeros(featurizer.dim)
-    for feature in featurizer._features(tokenize(text)):
+    for feature in reference_features(featurizer, tokenize(text)):
         index, sign = featurizer._bucket(feature)
         weight = (
             featurizer.MARKER_WEIGHT if feature.startswith("w:[") else 1.0

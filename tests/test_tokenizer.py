@@ -158,3 +158,106 @@ class TestCacheSizeResolution:
         second = HashedFeaturizer(dim=128, salt="lru-env-test")
         assert first.cache_size == 8
         assert first._sparse_cache is second._sparse_cache
+
+
+def _reference_sparse(featurizer, text):
+    """The pre-memo sparse featurizer: one bucket lookup per feature string."""
+    tokens = tokenize(text)
+    features = ["w:" + tok for tok in tokens]
+    if featurizer.use_bigrams:
+        features += ["b:" + a + "_" + b for a, b in zip(tokens, tokens[1:])]
+    if featurizer.use_char_ngrams:
+        for tok in tokens:
+            if not tok.startswith("["):
+                padded = "^" + tok + "$"
+                features += ["c:" + padded[i : i + 3] for i in range(len(padded) - 2)]
+    raw_indices, raw_values = [], []
+    for feature in features:
+        index, sign = featurizer._bucket(feature)
+        raw_indices.append(index)
+        marker = feature.startswith("w:[")
+        raw_values.append(sign * featurizer.MARKER_WEIGHT if marker else sign)
+    if not raw_indices:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    indices, inverse = np.unique(np.asarray(raw_indices), return_inverse=True)
+    values = np.bincount(inverse.ravel(), weights=raw_values, minlength=indices.size)
+    norm = float(np.sqrt(values @ values))
+    if norm > 0.0:
+        values /= norm
+    return indices, values
+
+
+MEMO_TEXTS = (
+    "",
+    "   ",
+    "brand [missing] apple apple apple iphone 12.5",
+    "[fmt_violation_abv] abv 5.5 % [fmt_violation_abv] ipa ipa",
+    "the the the the",
+    "a",
+    "price $ 3.99 @ store # 7 & co",
+    "x y x y x y [missing]",
+)
+
+
+class TestTokenMemo:
+    """The per-token feature memo is a pure cache over the feature stream."""
+
+    @pytest.mark.parametrize("bigrams", [True, False])
+    @pytest.mark.parametrize("trigrams", [True, False])
+    def test_matches_reference_feature_order(self, bigrams, trigrams):
+        featurizer = HashedFeaturizer(
+            dim=97,
+            use_bigrams=bigrams,
+            use_char_ngrams=trigrams,
+            salt=f"memo-{bigrams}-{trigrams}",
+        )
+        assert not featurizer._token_memo
+        # Twice: the second pass reads every token from the memo.
+        for __ in range(2):
+            featurizer._sparse_cache.clear()
+            for text in MEMO_TEXTS:
+                indices, values = featurizer.encode_sparse(text)
+                ref_indices, ref_values = _reference_sparse(featurizer, text)
+                assert np.array_equal(indices, ref_indices)
+                assert np.array_equal(values, ref_values)
+        assert featurizer._token_memo
+
+    def test_clear_shared_caches_empties_the_memo(self):
+        featurizer = HashedFeaturizer(dim=64, salt="memo-clear")
+        featurizer.encode_sparse("some tokens here")
+        assert featurizer._token_memo
+        HashedFeaturizer.clear_shared_caches()
+        assert not HashedFeaturizer._TOKEN_MEMOS
+        assert not HashedFeaturizer(dim=64, salt="memo-clear")._token_memo
+
+    def test_pickle_carries_no_memo(self):
+        import pickle
+
+        featurizer = HashedFeaturizer(dim=64, salt="memo-pickle")
+        featurizer.encode_sparse("alpha beta gamma")
+        state = featurizer.__getstate__()
+        assert "_token_memo" not in state
+        payload = pickle.dumps(featurizer)
+        HashedFeaturizer.clear_shared_caches()
+        clone = pickle.loads(payload)
+        assert clone._token_memo == {}
+        assert clone._token_memo is HashedFeaturizer._TOKEN_MEMOS[
+            ("memo-pickle", 64, True)
+        ]
+        assert np.array_equal(
+            clone.encode("alpha beta gamma"), featurizer.encode("alpha beta gamma")
+        )
+
+    def test_memo_never_grows_past_its_cap(self, monkeypatch):
+        monkeypatch.setattr(HashedFeaturizer, "TOKEN_MEMO_CAP", 5)
+        featurizer = HashedFeaturizer(dim=64, salt="memo-cap")
+        texts = [f"tok{i} other{i}" for i in range(20)]
+        for text in texts:
+            featurizer.encode_sparse(text)
+        assert len(featurizer._token_memo) == 5
+        # Tokens past the cap are still featurized correctly.
+        featurizer._sparse_cache.clear()
+        for text in texts:
+            assert np.array_equal(
+                featurizer.encode_sparse(text)[1], _reference_sparse(featurizer, text)[1]
+            )

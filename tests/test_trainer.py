@@ -354,3 +354,76 @@ class TestAdamMechanics:
         assert np.linalg.norm(heavy.weights["encoder.W1"]) < np.linalg.norm(
             light.weights["encoder.W1"]
         )
+
+
+def _reference_adam(cfg, state, param, grad):
+    """The textbook out-of-place Adam step, kept as the parity oracle."""
+    if cfg.weight_decay:
+        grad = grad + cfg.weight_decay * param
+    norm = np.linalg.norm(grad)
+    if cfg.grad_clip and norm > cfg.grad_clip:
+        grad = grad * (cfg.grad_clip / norm)
+    state["step"] += 1
+    state["m"] = cfg.beta1 * state["m"] + (1 - cfg.beta1) * grad
+    state["v"] = cfg.beta2 * state["v"] + (1 - cfg.beta2) * grad * grad
+    m_hat = state["m"] / (1 - cfg.beta1 ** state["step"])
+    v_hat = state["v"] / (1 - cfg.beta2 ** state["step"])
+    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+def _strided(shape):
+    """A non-contiguous view spanning more than one Adam block."""
+    base = np.random.default_rng(7).normal(size=(shape[0] * 2, shape[1] * 3))
+    return base[::2, ::3]
+
+
+class TestAdamParity:
+    """The in-place blocked Adam is bit-identical to the textbook formula."""
+
+    PARAMS = {
+        "matrix-96x2048": lambda: np.random.default_rng(1).normal(size=(96, 2048)),
+        "vector": lambda: np.random.default_rng(2).normal(size=300),
+        "scalar-1": lambda: np.array([0.25]),
+        "strided-view": lambda: _strided((200, 100)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    @pytest.mark.parametrize(
+        "clip,decay", [(1.0, 1e-2), (0.0, 0.0)], ids=["clip+decay", "plain"]
+    )
+    def test_fifty_steps_match_reference(self, name, clip, decay):
+        cfg = TrainConfig(learning_rate=3e-3, grad_clip=clip, weight_decay=decay)
+        param = self.PARAMS[name]()
+        ref_param = param.copy()
+        state = {"m": np.zeros_like(ref_param), "v": np.zeros_like(ref_param), "step": 0}
+        trainer = Trainer(
+            ScoringLM(ModelConfig(name="adam", feature_dim=16, hidden_dim=4)), cfg
+        )
+        rng = np.random.default_rng(11)
+        clipped = 0
+        for __ in range(50):
+            grad = rng.normal(scale=0.3, size=param.shape)
+            effective = grad + decay * ref_param
+            clipped += bool(clip and np.linalg.norm(effective) > clip)
+            trainer._adam_update("p", param, grad)
+            _reference_adam(cfg, state, ref_param, grad)
+        slot = trainer._slots["p"]
+        assert np.array_equal(param, ref_param)
+        assert np.array_equal(slot.m, state["m"])
+        assert np.array_equal(slot.v, state["v"])
+        assert slot.step == state["step"] == 50
+        if clip and param.size > 1:
+            assert clipped > 0  # the clip branch really ran
+
+    def test_strided_view_updates_its_base(self):
+        param = _strided((200, 100))
+        assert not param.flags.c_contiguous
+        before = param.base.copy()
+        trainer = Trainer(
+            ScoringLM(ModelConfig(name="adam", feature_dim=16, hidden_dim=4))
+        )
+        trainer._adam_update("p", param, np.ones(param.shape))
+        changed = param.base != before
+        assert changed[::2, ::3].all()
+        changed[::2, ::3] = False
+        assert not changed.any()  # untouched elements outside the view

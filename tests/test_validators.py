@@ -79,3 +79,39 @@ class TestBanks:
 
     def test_typo_fails_bank(self):
         assert not validators.bank_contains("beer_styles", "american ipaa")
+
+
+def _rebuilt_bank_contains(bank_name, value):
+    """The pre-memo logic: rebuild the bank's word set on every call."""
+    words = set()
+    for entry in validators.BANKS[bank_name]:
+        words.update(entry.split())
+    return all(word in words for word in value.strip().lower().split())
+
+
+class TestBankMemo:
+    @pytest.mark.parametrize("bank", sorted(validators.BANKS))
+    def test_memo_matches_rebuilt_word_set(self, bank):
+        entries = validators.BANKS[bank]
+        other = validators.BANKS["cities"] + validators.BANKS["academic_words"]
+        samples = ["", "   ", "zzzz", "[missing]"]
+        for i, entry in enumerate(entries[:40]):
+            words = entry.split()
+            samples += [
+                entry,
+                f"  {entry.upper()}  ",
+                words[-1] + "x",
+                " ".join(reversed(words)),
+                entry + " " + other[i % len(other)],
+            ]
+        for value in samples:
+            assert validators.bank_contains(bank, value) == _rebuilt_bank_contains(
+                bank, value
+            ), (bank, value)
+        assert isinstance(validators._BANK_WORDS[bank], frozenset)
+
+    def test_unknown_bank_still_raises_after_warm_up(self):
+        validators.bank_contains("cities", "portland")
+        with pytest.raises(KeyError):
+            validators.bank_contains("no-such-bank", "portland")
+        assert "no-such-bank" not in validators._BANK_WORDS
