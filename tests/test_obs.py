@@ -21,7 +21,7 @@ from repro.core.knowtrans import KnowTrans
 from repro.eval.harness import evaluate_method
 from repro.perf import Gate
 from repro.reporting import Console, jsonable
-from repro.runtime import WorkerPool
+from repro.runtime import WorkerPool, available_cpus
 
 
 def _traced_task(x):
@@ -335,11 +335,24 @@ def test_jsonable_coerces_payload_types(tmp_path):
 # ----------------------------------------------------------------------
 def test_gate_writes_and_checks(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_BENCH_PRESET", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     gate = Gate("demo", {"speedup": 4.0}, min_speedup=3.0, root=tmp_path)
     assert gate.preset == "paper"
     gate.write(speedup=4.0, extra=1)
     data = json.loads((tmp_path / "BENCH_demo.json").read_text())
-    assert data == {"preset": "paper", "min_speedup": 3.0, "speedup": 4.0}
+    assert data == {
+        "preset": "paper",
+        "min_speedup": 3.0,
+        "speedup": 4.0,
+        "machine": {
+            "cpus": available_cpus(),
+            "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        },
+    }
     (line,) = gate.trajectory_path.read_text().splitlines()
     assert json.loads(line) == {
         "bench": "demo", "preset": "paper", "speedup": 4.0, "extra": 1,

@@ -96,11 +96,9 @@ def test_pool_clamps_to_scheduler_affinity(monkeypatch):
 def test_non_fork_start_method_falls_back_to_serial(monkeypatch):
     """Satellite regression: spawn/forkserver must not reach the pool.
 
-    A spawn-started worker re-imports from a fresh interpreter: it can
-    resolve neither fork-inherited SharedRef tokens nor arena ownership,
-    and its resource tracker would unlink the parent's live segments.
-    The pool must warn loudly and degrade to the (identical) serial
-    path instead.
+    A spawn-started worker re-imports from a fresh interpreter, so it
+    cannot resolve fork-inherited SharedRef tokens.  The pool must warn
+    loudly and degrade to the (identical) serial path instead.
     """
     import repro.runtime as runtime
 
@@ -127,6 +125,37 @@ def test_process_map_preserves_order_and_merges_perf():
     # Each worker counted into its own registry; the snapshots merged
     # home, so the parent sees all six calls.
     assert PERF.counter("test.square_calls") == before + 6
+
+
+def _noop_task(item):
+    return item["n"]
+
+
+def _crash_task(item):
+    if item["crash"]:
+        os._exit(13)
+    return item["n"]
+
+
+def test_pickle_map_counts_payload_from_single_serialization():
+    """``runtime.payload_bytes`` is the real IPC byte count: exactly the
+    bytes of the one serialization that crosses the boundary."""
+    items = [{"features": np.arange(2048, dtype=np.float64), "n": i}
+             for i in range(4)]
+    expected = sum(
+        len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+        for item in items
+    )
+    before = PERF.counter("runtime.payload_bytes")
+    WorkerPool(jobs=2, clamp=False).map(_noop_task, items)
+    assert PERF.counter("runtime.payload_bytes") - before == expected
+
+
+def test_worker_crash_surfaces():
+    """A task that hard-kills its worker makes ``map`` raise."""
+    items = [{"n": i, "crash": i == 2} for i in range(4)]
+    with pytest.raises(Exception):
+        WorkerPool(jobs=2, clamp=False).map(_crash_task, items)
 
 
 def test_perf_merge_accumulates():
