@@ -1,30 +1,33 @@
-"""Perf gate: continuous batching must beat sequential dispatch ≥ 3×.
+"""Perf gate: a tenant switch in the serve daemon must cost ~nothing.
 
 Drives the real :mod:`repro.serve` stack — TCP sockets, the asyncio
-event loop, the continuous-batching scheduler — with simulated
-multi-client load against a two-tenant registry sharing one backbone.
-Two arms serve the identical tenant-alternating workload:
+event loop, the scheduler — with one closed-loop client against a
+``max_batch=1`` server and a two-tenant registry sharing one backbone.
+The two arms serve the same requests and vary one thing, their order:
 
-* sequential: ``max_batch=1``, one closed-loop client — every request
-  dispatches alone and pays its own adapter hot-swap;
-* batched: the production scheduler coalesces concurrent in-flight
-  requests across tenants, grouping them so each batch pays one swap
-  per tenant and one ``predict_batch`` per group.
+* grouped: sorted by tenant, so the stream swaps adapters once per
+  tenant;
+* alternating: consecutive requests alternate tenants, so nearly every
+  dispatch swaps.
 
-Results are written to ``BENCH_serve.json`` at the repo root (p50/p99
-for both arms included) and appended to
-``benchmarks/results/perf_trajectory.jsonl`` via the shared
-:class:`repro.perf.Gate` protocol, alongside the inference, pipeline,
-cache and train gates'.
+The registry keeps each tenant's materialised effective weights, so a
+swap is an attach, not a rebuild of ``W0 + Σ λ·α·B·A``: the alternating
+arm must be no more than 1.5x slower than the grouped one and must
+materialise exactly tenants × targets dense weights (each tenant once,
+from the dropped state both arms start in).
 
-CI smoke target::
+Results are written to ``BENCH_serve.json`` at the repo root and
+appended to ``benchmarks/results/perf_trajectory.jsonl`` via the shared
+:class:`repro.perf.Gate` protocol.
+
+CI target::
 
     REPRO_BENCH_PRESET=quick python -m pytest benchmarks/bench_perf_serve.py
 
-The assertion fails if batched throughput is less than 3× the
-sequential arm's, if any served prediction differs from the offline
-``predict_batch`` oracle, if the scheduler failed to actually coalesce
-(mean batch size ≤ 1.5), if any request errored, or if the latency
+The assertion fails if the alternating arm is more than 1.5x slower
+than the grouped arm, if it materialises any other number of weights,
+if any served prediction (on any repeat) differs from the offline
+``predict_batch`` oracle, if any request errored, or if the latency
 percentiles are degenerate.
 """
 
@@ -35,40 +38,38 @@ from repro.perf import Gate, render_serve_benchmark, run_serve_benchmark
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-MIN_SPEEDUP = 3.0
-
-#: Generous sanity ceiling on the batched arm's tail latency — the
-#: quick preset's whole batched run takes well under a second, so a
-#: multi-second p99 means the scheduler stalled.
-MAX_BATCHED_P99_MS = 5000.0
+#: Ceiling on alternating / grouped wall time.  Free swaps put the
+#: ratio near 1; rebuilding the fused weights on every swap puts it
+#: far above (the arms then differ by one rebuild per request).
+MAX_SLOWDOWN = 1.5
 
 
-def test_continuous_batching_speedup(record_result):
-    gate = Gate("serve", {}, min_speedup=MIN_SPEEDUP, root=REPO_ROOT)
-    requests = 27 if gate.preset == "quick" else 63
-    repeats = 2 if gate.preset == "quick" else 3
+def test_adapter_swaps_are_free(record_result):
+    gate = Gate("serve", {}, root=REPO_ROOT)
+    requests = 64 if gate.preset == "quick" else 128
+    repeats = 3 if gate.preset == "quick" else 5
     result = run_serve_benchmark(
         seed=0,
-        clients=9,
         requests=requests,
         n_patches=16,
         rank=8,
         repeats=repeats,
     )
     gate.result.update(result)
+    gate.result["max_slowdown"] = MAX_SLOWDOWN
+    grouped, alternating = result["grouped"], result["alternating"]
     gate.write(
-        sequential_seconds=result["sequential"]["seconds"],
-        batched_seconds=result["batched"]["seconds"],
-        speedup=result["speedup"],
-        batched_p50_ms=result["batched"]["p50_ms"],
-        batched_p99_ms=result["batched"]["p99_ms"],
+        grouped_seconds=grouped["seconds"],
+        alternating_seconds=alternating["seconds"],
+        alternating_over_grouped=result["alternating_over_grouped"],
+        alternating_swaps=alternating["adapter_swaps"],
+        alternating_materializations=alternating["weight_materializations"],
         requests=result["requests"],
-        mean_batch_size=result["batched"]["mean_batch_size"],
     )
     record_result("bench_perf_serve", render_serve_benchmark(gate.result))
 
     gate.require(
-        result["sequential"]["all_ok"] and result["batched"]["all_ok"],
+        grouped["all_ok"] and alternating["all_ok"],
         "at least one served request returned an error",
     )
     gate.require(
@@ -76,18 +77,18 @@ def test_continuous_batching_speedup(record_result):
         "served predictions diverged from the offline predict_batch oracle",
     )
     gate.require(
-        result["coalesced"],
-        f"scheduler did not coalesce requests: mean batch size "
-        f"{result['batched']['mean_batch_size']:.2f}",
+        alternating["adapter_swaps"] > grouped["adapter_swaps"],
+        f"the alternating arm did not swap more often "
+        f"({alternating['adapter_swaps']} vs {grouped['adapter_swaps']})",
     )
+    expected = result["tenants"] * result["targets"]
     gate.require(
-        result["batched"]["adapter_swaps"]
-        < result["sequential"]["adapter_swaps"],
-        f"batching did not reduce adapter swaps "
-        f"({result['batched']['adapter_swaps']} vs "
-        f"{result['sequential']['adapter_swaps']})",
+        alternating["weight_materializations"] == expected,
+        f"alternating arm materialised "
+        f"{alternating['weight_materializations']} weights, expected "
+        f"{expected} (tenants x targets)",
     )
-    for arm in ("sequential", "batched"):
+    for arm in ("grouped", "alternating"):
         p50, p99 = result[arm]["p50_ms"], result[arm]["p99_ms"]
         gate.require(
             0.0 < p50 <= p99 and math.isfinite(p99),
@@ -95,9 +96,8 @@ def test_continuous_batching_speedup(record_result):
             f"p50={p50:.3f} ms p99={p99:.3f} ms",
         )
     gate.require(
-        result["batched"]["p99_ms"] <= MAX_BATCHED_P99_MS,
-        f"batched p99 {result['batched']['p99_ms']:.1f} ms exceeds "
-        f"{MAX_BATCHED_P99_MS:.0f} ms",
+        result["alternating_over_grouped"] <= MAX_SLOWDOWN,
+        f"alternating tenants is {result['alternating_over_grouped']:.2f}x "
+        f"slower than grouped (limit {MAX_SLOWDOWN}x); see {gate.bench_json}",
     )
-    gate.require_speedup()
     gate.check()

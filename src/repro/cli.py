@@ -276,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--serve", action="store_true",
-        help="run the serving benchmark (sequential per-request dispatch "
-        "vs multi-tenant continuous batching through the real server)",
+        help="run the serving benchmark (one client through the real "
+        "server: tenant-alternating vs grouped requests, so the arms "
+        "differ only in adapter swaps)",
     )
     perf.add_argument(
         "--kb", action="store_true",
@@ -348,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="max requests coalesced into one dispatch",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=5.0,
-        help="batching window after the first queued request",
+        "--max-wait-ms", type=float, default=0.0,
+        help="batching window after the first queued request "
+        "(default 0: dispatch what is already queued)",
     )
     serve.add_argument(
         "--preload", action="append", default=[], metavar="TENANT:DATASET",
@@ -825,11 +827,21 @@ def _cmd_perf(args: argparse.Namespace, console: Console) -> int:
         result = run_serve_benchmark(seed=args.seed, repeats=args.repeats)
         console.result(render_serve_benchmark(result))
         console.set("benchmark", result)
-        if not result["predictions_identical"]:
-            console.error(
-                "serve benchmark FAILED: served predictions diverged "
-                "from the offline oracle"
+        failures = [
+            label
+            for label, ok in (
+                ("predictions diverged from the offline oracle",
+                 result["predictions_identical"]),
+                (
+                    "swaps re-materialised kept weights",
+                    result["alternating"]["weight_materializations"]
+                    == result["tenants"] * result["targets"],
+                ),
             )
+            if not ok
+        ]
+        if failures:
+            console.error("serve benchmark FAILED: " + "; ".join(failures))
             console.set("ok", False)
             return 1
         console.result("serve benchmark OK")

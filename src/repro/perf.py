@@ -1213,46 +1213,33 @@ def _latency_percentile(latencies: List[float], q: float) -> float:
 
 def run_serve_benchmark(
     seed: int = 0,
-    clients: int = 9,
-    requests: int = 36,
+    requests: int = 64,
     prompts_per_request: int = 4,
     tenants: int = 2,
     n_patches: int = 16,
     rank: int = 8,
-    max_batch: int = 64,
-    max_wait_ms: float = 25.0,
     repeats: int = 3,
 ) -> Dict:
-    """Sequential per-request dispatch vs continuous batching, measured
-    through the real server: sockets, event loop, scheduler and all.
+    """What a tenant switch costs, measured through the real server.
 
     One multi-tenant registry (``tenants`` fused specialists sharing a
-    single backbone) serves the identical tenant-alternating workload
-    twice:
+    single backbone) serves the same requests twice per repeat, each
+    time through a fresh ``max_batch=1`` server and one closed-loop
+    client, so every request dispatches alone.  Only the order differs:
 
-    * **sequential** — ``max_batch=1`` and a single closed-loop client:
-      requests dispatch one at a time in workload order, so the
-      tenant-alternating stream pays a full adapter swap (the fusion
-      delta materialisation, the dominant cost on this CPU) on nearly
-      every dispatch — the offline per-request semantics, through the
-      wire;
-    * **batched** — ``clients`` concurrent closed-loop clients against
-      the production scheduler, which coalesces the in-flight requests,
-      groups them by tenant, and pays one swap per tenant per batch
-      plus a single ``predict_batch`` per group.
+    * **grouped** — the requests sorted by tenant (stable), so the
+      stream swaps adapters ``tenants`` times in all;
+    * **alternating** — consecutive requests alternate tenants, so
+      nearly every dispatch swaps.
 
-    Clients are closed-loop threads (request ``i`` belongs to client
-    ``i % clients``).  Latency percentiles are client-observed round
-    trips; queueing means the two arms' latencies are not directly
-    comparable — the gate's latency bounds apply to the batched arm.
-    An offline oracle (per-request attach + ``predict_batch``) is
-    computed first — it doubles as the warm-up for the featurization
-    caches — and both arms must reproduce it bit-for-bit: batching may
-    only ever change *when* a prompt is scored, never its result.
-
-    Each arm runs ``repeats`` times against a fresh server (best run
-    kept, the usual best-of protocol); predictions must match the
-    oracle on *every* repeat, not just the fastest one.
+    Each arm starts with every entry's kept weights dropped
+    (:meth:`TenantRegistry.drop_weights`), so both arms materialise
+    each tenant's targets exactly once if swaps reuse kept weights; the
+    alternating arm's ``weight_materializations`` reports it.  An
+    offline oracle (per-request attach + ``predict_batch``) is computed
+    first and doubles as the warm-up for the featurization caches; both
+    arms must reproduce it bit-for-bit on every repeat.  The arms run
+    interleaved and the best run of each is kept.
     """
     from .serve import (
         ServeClient,
@@ -1266,108 +1253,102 @@ def run_serve_benchmark(
     registry = build_demo_registry(
         tenants=tenants, seed=seed, n_patches=n_patches, rank=rank
     )
-    workload = build_workload(
+    alternating = build_workload(
         registry,
         requests=requests,
         prompts_per_request=prompts_per_request,
         seed=seed,
     )
-    offline = offline_reference(registry, workload)
+    orders = {
+        "alternating": list(range(len(alternating))),
+        "grouped": sorted(
+            range(len(alternating)), key=lambda i: alternating[i]["tenant"]
+        ),
+    }
+    offline = offline_reference(registry, alternating)
+    targets = len(next(iter(registry.entries.values())).adapter.target_names)
 
-    def run_arm(arm_max_batch: int, arm_max_wait_ms: float, arm_clients: int):
-        with ServerThread(
-            registry, max_batch=arm_max_batch, max_wait_ms=arm_max_wait_ms
-        ) as server:
+    def run_arm(indices: List[int]):
+        for entry in registry.entries.values():
+            registry.drop_weights(entry)
+        workload = [alternating[i] for i in indices]
+        built = PERF.counter("model.weight_materializations")
+        with ServerThread(registry, max_batch=1) as server:
             start = time.perf_counter()
             responses, latencies = drive_clients(
-                "127.0.0.1", server.port, workload, clients=arm_clients
+                "127.0.0.1", server.port, workload, clients=1
             )
             seconds = time.perf_counter() - start
             with ServeClient("127.0.0.1", server.port) as probe:
                 stats = probe.stats()
-        predictions = [
-            response.get("predictions") if response else None
-            for response in responses
-        ]
         arm = {
             "seconds": seconds,
             "requests_per_sec": len(workload) / seconds,
             "p50_ms": _latency_percentile(latencies, 0.50),
             "p99_ms": _latency_percentile(latencies, 0.99),
-            "batches": stats["batches"],
-            "mean_batch_size": stats["mean_batch_size"],
             "adapter_swaps": stats["adapter_swaps"],
+            "weight_materializations": (
+                PERF.counter("model.weight_materializations") - built
+            ),
             "all_ok": all(r is not None and r.get("ok") for r in responses),
         }
-        return arm, predictions
+        identical = [
+            response.get("predictions") if response else None
+            for response in responses
+        ] == [offline[i] for i in indices]
+        return arm, identical
 
-    def best_arm(arm_max_batch: int, arm_max_wait_ms: float, arm_clients: int):
-        best = None
-        identical = True
-        for __ in range(max(1, repeats)):
-            arm, predictions = run_arm(
-                arm_max_batch, arm_max_wait_ms, arm_clients
-            )
-            identical = identical and predictions == offline
-            if best is None or arm["seconds"] < best["seconds"]:
-                best = arm
-        return best, identical
+    # One untimed lap so neither timed arm pays first-connection and
+    # interpreter warm-up costs.
+    run_arm(orders["grouped"][: min(len(alternating), 4)])
 
-    # One untimed warm lap through the socket/event-loop path so neither
-    # timed arm pays first-connection and interpreter warm-up costs.
-    with ServerThread(
-        registry, max_batch=max_batch, max_wait_ms=max_wait_ms
-    ) as server:
-        drive_clients(
-            "127.0.0.1",
-            server.port,
-            workload[: min(len(workload), clients)],
-            clients=clients,
-        )
-
-    sequential, sequential_identical = best_arm(1, 0.0, 1)
-    batched, batched_identical = best_arm(max_batch, max_wait_ms, clients)
+    best: Dict[str, Dict] = {}
+    identical = True
+    for __ in range(max(1, repeats)):
+        for name, indices in orders.items():
+            arm, same = run_arm(indices)
+            identical = identical and same
+            if name not in best or arm["seconds"] < best[name]["seconds"]:
+                best[name] = arm
     return {
         "workload": "em/abt_buy",
-        "requests": len(workload),
+        "requests": len(alternating),
         "prompts_per_request": prompts_per_request,
-        "clients": clients,
         "tenants": tenants,
+        "targets": targets,
         "patches": n_patches,
         "rank": rank,
-        "max_batch": max_batch,
-        "max_wait_ms": max_wait_ms,
         "repeats": repeats,
-        "sequential": sequential,
-        "batched": batched,
-        "speedup": sequential["seconds"] / batched["seconds"],
-        "predictions_identical": bool(
-            sequential_identical and batched_identical
+        "grouped": best["grouped"],
+        "alternating": best["alternating"],
+        "alternating_over_grouped": (
+            best["alternating"]["seconds"] / best["grouped"]["seconds"]
         ),
-        "coalesced": batched["mean_batch_size"] > 1.5,
+        "predictions_identical": bool(identical),
     }
 
 
 def render_serve_benchmark(result: Dict) -> str:
     """Format :func:`run_serve_benchmark` output for the terminal."""
     lines = [
-        f"serve benchmark — {result['workload']} "
+        f"serve swap benchmark — {result['workload']} "
         f"({result['requests']} requests x "
-        f"{result['prompts_per_request']} prompts, {result['clients']} "
-        f"clients, {result['tenants']} tenants, {result['patches']} fused "
+        f"{result['prompts_per_request']} prompts, one client, "
+        f"max_batch=1, {result['tenants']} tenants x "
+        f"{result['targets']} targets, {result['patches']} fused "
         f"patches, best of {result['repeats']})",
-        f"  sequential: {result['sequential']['seconds']:.3f}s "
-        f"({result['sequential']['requests_per_sec']:.1f} req/s, "
-        f"p50 {result['sequential']['p50_ms']:.1f} ms, "
-        f"p99 {result['sequential']['p99_ms']:.1f} ms, "
-        f"{result['sequential']['adapter_swaps']} swaps)",
-        f"  batched:    {result['batched']['seconds']:.3f}s "
-        f"({result['batched']['requests_per_sec']:.1f} req/s, "
-        f"p50 {result['batched']['p50_ms']:.1f} ms, "
-        f"p99 {result['batched']['p99_ms']:.1f} ms, "
-        f"{result['batched']['adapter_swaps']} swaps, mean batch "
-        f"{result['batched']['mean_batch_size']:.1f})",
-        f"  speedup:    {result['speedup']:.2f}x",
+    ]
+    for name in ("grouped", "alternating"):
+        arm = result[name]
+        lines.append(
+            f"  {name + ':':<12} {arm['seconds']:.4f}s "
+            f"({arm['requests_per_sec']:.0f} req/s, "
+            f"p50 {arm['p50_ms']:.2f} ms, p99 {arm['p99_ms']:.2f} ms, "
+            f"{arm['adapter_swaps']} swaps, "
+            f"{arm['weight_materializations']} weight materializations)"
+        )
+    lines += [
+        f"  alternating / grouped: {result['alternating_over_grouped']:.2f}x",
         f"  predictions identical: {result['predictions_identical']}",
     ]
     return "\n".join(lines)

@@ -13,18 +13,17 @@ multi-tenant serving) amortise a shared backbone:
   a populated store makes registration a millisecond restore instead of
   a fine-tune;
 * requests hot-attach the entry's adapter onto the shared backbone.
-  The attach is skipped entirely when the adapter is already resident
-  (``backbone.adapter is entry.adapter``), which preserves the
-  model's effective-weight memo — the expensive part of a swap is the
-  adapter delta materialisation, so back-to-back requests for one
-  tenant cost nothing;
-* a continuous-batching scheduler coalesces concurrent in-flight
-  requests (across connections and tenants) into one dispatch: the
-  batch is grouped by entry and each group runs a **single**
-  ``predict_batch`` over the concatenated prompts.  Grouping means a
-  batch touching T tenants pays T adapter swaps instead of one per
-  request — on a single-core host that amortisation, not parallelism,
-  is where the throughput comes from.
+  The registry keeps each entry's materialised effective weights
+  (``W0 + Σ λ·α·B·A`` per target) and hands them back on attach, so a
+  tenant switch re-materialises nothing once every tenant has been
+  served; the attach is skipped entirely when the adapter is already
+  resident (``backbone.adapter is entry.adapter``);
+* a continuous-batching scheduler coalesces the requests already
+  queued when it wakes (across connections and tenants) into one
+  dispatch: the batch is grouped by entry and each group runs a
+  **single** ``predict_batch`` over the concatenated prompts.  It does
+  not hold a read back for stragglers by default: requests that
+  arrive during a dispatch coalesce into the next one.
 
 Transport is deliberately boring: line-delimited JSON over a TCP
 socket, stdlib ``asyncio`` only.  Ops: ``predict``, ``stream_update``,
@@ -35,12 +34,11 @@ wire format).
 server trains the entry's adapter **in place** through
 ``Trainer.fit_incremental`` on a per-backbone *training replica* (a
 ``clone()`` that shares featurization caches but owns no serving
-state), so the serving backbone's effective-weight memo is never
-touched for tenants whose adapter is not resident.  Only when the
-updated adapter *is* the resident one does the server issue a single
-``bump_adapter_version()`` — the minimum invalidation correctness
-requires, since the resident memo was materialised from the
-now-stale parameters.
+state).  Every update drops the trained entry's materialised weights
+(:meth:`TenantRegistry.drop_weights`), resident or not; only when the
+updated adapter *is* the resident one does the serving backbone also
+get a ``bump_adapter_version()``.  Other tenants' weights are never
+touched.
 
 Determinism contract: a coalesced dispatch is bit-identical to
 dispatching each request alone — ``predict_batch`` scores every prompt
@@ -60,7 +58,10 @@ hops between connection handlers and the scheduler task:
 * ``serve.predict`` — one per tenant group inside a batch;
 * ``serve.request`` — one per request, spanning accept → response;
 
-plus ``serve.queue_wait_ms`` / ``serve.batch_size`` histograms,
+``serve.predict`` carries ``swapped`` (the group needed an adapter
+attach) and ``materialized`` (dense target weights built during the
+group), so a trace can blame a slow read on a swap.  There are also
+``serve.queue_wait_ms`` / ``serve.batch_size`` histograms,
 ``serve.requests`` / ``serve.batches`` / ``serve.adapter_swaps``
 counters and per-backbone cache-size gauges each dispatch, so
 ``python -m repro trace`` renders per-request flamegraphs of a serving
@@ -120,6 +121,11 @@ class TenantEntry:
     # nearest-profile knowledge from earlier AKB searches.
     knowledge: Optional[Any] = None
     kb_warmed: bool = False
+    # Materialised effective weights of ``adapter`` (target -> dense
+    # array), filled by the backbone while this entry is resident and
+    # handed back on every attach.  Emptied whenever the adapter is
+    # trained in place.
+    weights: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     @property
     def key(self) -> EntryKey:
@@ -281,10 +287,11 @@ class TenantRegistry:
     def ensure_attached(self, entry: TenantEntry) -> Tuple[ScoringLM, bool]:
         """Make ``entry``'s adapter resident; returns (backbone, swapped).
 
-        The no-op check is identity-based on purpose: re-attaching the
-        same adapter object would bump the backbone's adapter version
-        and invalidate its effective-weight memo, turning every
-        dispatch into a full delta re-materialisation.
+        A swap binds the entry's kept weights as the backbone's
+        effective-weight memo, so switching back to a tenant that was
+        served before costs an attach, not a re-materialisation.  The
+        no-op check is identity-based: re-attaching the resident adapter
+        would still bump the backbone's adapter version.
         """
         backbone = self.backbones[entry.backbone]
         if backbone.adapter is entry.adapter:
@@ -293,10 +300,30 @@ class TenantRegistry:
             backbone.detach()
         else:
             backbone.attach(entry.adapter)
+            backbone.bind_weight_memo(entry.weights)
         self.swaps += 1
         PERF.count("serve.adapter_swaps")
         obs.counter("serve.adapter_swaps", tenant=entry.tenant)
         return backbone, True
+
+    def drop_weights(self, entry: TenantEntry) -> bool:
+        """Forget ``entry``'s weights after its adapter was trained in place.
+
+        Empties the kept weights of every entry sharing the adapter.
+        When the adapter is resident the backbone's version is bumped as
+        well and the emptied dict re-bound, so the next read rebuilds
+        the weights once, into the entry's dict.  Returns whether the
+        adapter was resident.
+        """
+        for other in self.entries.values():
+            if other.adapter is entry.adapter:
+                other.weights.clear()
+        backbone = self.backbones[entry.backbone]
+        if backbone.adapter is not entry.adapter:
+            return False
+        backbone.bump_adapter_version()
+        backbone.bind_weight_memo(entry.weights)
+        return True
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -334,11 +361,13 @@ class AdaptationServer:
     max_batch:
         Upper bound on requests coalesced into one dispatch.
         ``max_batch=1`` degenerates to sequential per-request dispatch
-        (the benchmark's baseline arm).
+        (what the serve gate drives).
     max_wait_ms:
         After the first request of a batch arrives, how long the
-        scheduler keeps the window open for stragglers.  Zero means
-        "take only what is already queued".
+        scheduler keeps the window open for stragglers.  The default,
+        zero, takes only what is already queued: with swaps free a
+        straggler saves far less compute than the window costs every
+        read.
     """
 
     def __init__(
@@ -347,7 +376,7 @@ class AdaptationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float = 0.0,
     ):
         self.registry = registry
         self.host = host
@@ -471,11 +500,9 @@ class AdaptationServer:
         """Train a tenant's adapter in place on one labelled micro-batch.
 
         The update runs through :meth:`Trainer.fit_incremental` on a
-        per-backbone training replica, so cost is ``O(batch)`` and the
-        serving backbone's weight memo survives untouched unless the
-        trained adapter is currently resident (in which case one
-        version bump forces the memo to re-materialise from the new
-        parameters on the next dispatch).
+        per-backbone training replica, so cost is ``O(batch)``.  The
+        entry's kept weights are dropped afterwards, so its next read
+        re-materialises them from the new parameters.
         """
         key = (
             str(message.get("tenant", "")),
@@ -553,12 +580,7 @@ class AdaptationServer:
                 report = trainer.fit_incremental(examples)
             except (RuntimeError, ValueError) as exc:
                 return {"ok": False, "error": str(exc)}
-            serving = self.registry.backbones[entry.backbone]
-            resident = serving.adapter is entry.adapter
-            if resident:
-                # The resident memo was materialised from the old
-                # parameters; one bump is the minimum invalidation.
-                serving.bump_adapter_version()
+            resident = self.registry.drop_weights(entry)
             self.stream_updates += 1
             PERF.count("serve.stream_updates")
             obs.counter("serve.stream_updates", tenant=entry.tenant)
@@ -651,10 +673,11 @@ class AdaptationServer:
             prompts = [p for member in members for p in member.prompts]
             pools = [pool for member in members for pool in member.pools]
             ok = True
+            swapped = False
+            built_before = PERF.counter("model.weight_materializations")
             try:
-                swaps_before = self.registry.swaps
-                backbone, __ = self.registry.ensure_attached(entry)
-                self.swaps += self.registry.swaps - swaps_before
+                backbone, swapped = self.registry.ensure_attached(entry)
+                self.swaps += int(swapped)
                 predictions = backbone.predict_batch(prompts, pools)
             except Exception as exc:  # surface to every member request
                 ok = False
@@ -688,6 +711,9 @@ class AdaptationServer:
                 dataset=entry.dataset,
                 requests=len(members),
                 prompts=len(prompts),
+                swapped=swapped,
+                materialized=PERF.counter("model.weight_materializations")
+                - built_before,
             )
         finished = time.perf_counter()
         for pending in batch:
@@ -762,7 +788,7 @@ class ServerThread:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 32,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float = 0.0,
     ):
         self._registry = registry
         self._host = host
@@ -1152,7 +1178,7 @@ def serve_forever(
     host: str = "127.0.0.1",
     port: int = 8731,
     max_batch: int = 32,
-    max_wait_ms: float = 5.0,
+    max_wait_ms: float = 0.0,
     console=None,
 ) -> int:
     """Run the daemon until SIGINT or a ``shutdown`` op."""

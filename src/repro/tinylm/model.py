@@ -509,6 +509,7 @@ class ScoringLM:
             if delta is None:
                 return base
             PERF.count("model.weight_materializations")
+            obs.counter("model.weight_materializations")
             return base + delta
         token = (self._adapter_version, id(self.adapter))
         if token != self._weight_memo_token:
@@ -522,9 +523,23 @@ class ScoringLM:
             result = base
         else:
             PERF.count("model.weight_materializations")
+            obs.counter("model.weight_materializations")
             result = base + delta
         self._weight_memo[name] = result
         return result
+
+    def bind_weight_memo(self, weights: Dict[str, np.ndarray]) -> None:
+        """Use ``weights`` as the attached adapter's effective-weight memo.
+
+        The caller keeps the dict across attaches (the serve registry
+        keeps one per tenant).  :meth:`effective_weight` fills it in
+        place, so re-binding a filled dict after re-attaching the same
+        adapter makes the swap free.  The contents are trusted: the
+        caller must empty the dict whenever the adapter's parameters or
+        the base weights change.
+        """
+        self._weight_memo = weights
+        self._weight_memo_token = (self._adapter_version, id(self.adapter))
 
     def attach(self, adapter) -> None:
         """Attach a LoRA patch or fusion stack (replaces any previous)."""

@@ -3,9 +3,11 @@
 import json
 import socket
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.perf import PERF
 from repro.serve import (
     ServeClient,
     ServerThread,
@@ -96,6 +98,20 @@ class TestHotSwapParity:
                 item["prompts"], item["pools"]
             )
             assert got == want
+
+    def test_reattaching_unchanged_entry_materializes_nothing(self):
+        registry = build_demo_registry(tenants=2, seed=5, n_patches=2)
+        first, second = registry.entries.values()
+        item = build_workload(registry, requests=1, seed=5)[0]
+        for entry in (first, second):  # each tenant materialises once
+            backbone, __ = registry.ensure_attached(entry)
+            backbone.predict_batch(item["prompts"], item["pools"])
+        before = PERF.counter("model.weight_materializations")
+        for entry in (first, second, first):
+            backbone, swapped = registry.ensure_attached(entry)
+            assert swapped
+            backbone.predict_batch(item["prompts"], item["pools"])
+        assert PERF.counter("model.weight_materializations") == before
 
     def test_detach_restores_base_predictions(self):
         registry = build_demo_registry(tenants=1, seed=3, n_patches=2)
@@ -324,6 +340,35 @@ class TestStreamUpdate:
             assert again == before
             client.shutdown()
             client.close()
+
+    def test_update_behind_resident_tenant_drops_its_weights(self):
+        """Swapping back to a tenant trained while another was resident
+        must serve the trained adapter, not its pre-update weights."""
+        registry = self._fresh()
+        prompts, pools = self._workload()
+        backbone = registry.backbones["serve-demo"]
+        trained = registry.entries[("tenant0", "em/abt_buy", "em")]
+        with ServerThread(registry, max_batch=8) as server:
+            client = ServeClient("127.0.0.1", server.port)
+            # tenant0's weights get kept, then tenant1 becomes resident
+            client.predict("tenant0", "em/abt_buy", "em", prompts, pools)
+            client.predict("tenant1", "em/abt_buy", "em", prompts, pools)
+            response = client.stream_update(
+                "tenant0", "em/abt_buy", "em", prompts, pools, [0] * 6,
+                epochs=4, learning_rate=5e-2,
+            )
+            assert response["resident_memo_invalidated"] is False
+            client.predict("tenant0", "em/abt_buy", "em", prompts, pools)
+            assert backbone.adapter is trained.adapter
+            served = backbone.logits_batch(prompts, pools)
+            client.shutdown()
+            client.close()
+        isolated = backbone.clone()
+        isolated.attach(trained.adapter)
+        want = isolated.logits_batch(prompts, pools)
+        assert len(served) == len(want)
+        for got, expected in zip(served, want):
+            assert np.array_equal(got, expected)
 
     def test_updates_accumulate_stream_state(self):
         registry = self._fresh()
